@@ -4,9 +4,16 @@ GO ?= go
 .PHONY: check
 check: vet build test smoke
 
+# vet also fails when any Go file is not gofmt-clean.
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting (gofmt -w):"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
 
 # Static analysis beyond vet. Skips gracefully when the staticcheck binary
 # is not installed (CI installs it; local runs may not have it).
@@ -101,12 +108,12 @@ bench-full:
 	$(GO) test -bench=. -benchmem
 
 # Simulation-core micro-benchmarks: the arena kernel, incremental
-# resimulation, bucketed refinement, vector packing, the sweeping
-# counterexample pool, and end-to-end service throughput. BENCHCOUNT
-# repetitions give the gate stable medians.
+# resimulation, bucketed refinement, vector packing, the SimGen generator's
+# guided batch, the sweeping counterexample pool, and end-to-end service
+# throughput. BENCHCOUNT repetitions give the gate stable medians.
 BENCHCOUNT ?= 5
-BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep
-BENCHDIRS ?= ./internal/sim ./internal/sweep ./internal/sweepd .
+BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkGuidedBatch|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep
+BENCHDIRS ?= ./internal/sim ./internal/core ./internal/sweep ./internal/sweepd .
 .PHONY: bench
 bench:
 	$(GO) test -run 'xxx' -bench '$(BENCHES)' -benchmem -count $(BENCHCOUNT) \

@@ -41,17 +41,17 @@ func main() {
 
 func run() int {
 	var (
-		seed          = flag.Int64("seed", 1, "campaign seed; one seed reproduces the whole run")
-		n             = flag.Int("n", 100, "number of circuits to generate and check")
-		shapeSpec     = flag.String("shape", "", "generator shape: preset name or 'pi=8,nodes=40,...' spec (default: cycle presets)")
-		datapath      = flag.Bool("datapath", false,
+		seed      = flag.Int64("seed", 1, "campaign seed; one seed reproduces the whole run")
+		n         = flag.Int("n", 100, "number of circuits to generate and check")
+		shapeSpec = flag.String("shape", "", "generator shape: preset name or 'pi=8,nodes=40,...' spec (default: cycle presets)")
+		datapath  = flag.Bool("datapath", false,
 			"datapath preset: word-structured adder/mux/shifter twins, with the word-level engines added to the differential oracle")
-		shrink        = flag.Bool("shrink", true, "minimize failing circuits before reporting")
-		corpus        = flag.String("corpus", "", "directory for shrunk reproducer BLIF files")
-		maxFailures   = flag.Int("max-failures", 1, "stop after this many failures")
-		oracle        = flag.String("oracle", "both", "oracles to run: differential|metamorphic|both")
-		workers       = flag.Int("workers", 4, "workers for the parallel sweeping engine")
-		perturb       = flag.Bool("perturb", false,
+		shrink      = flag.Bool("shrink", true, "minimize failing circuits before reporting")
+		corpus      = flag.String("corpus", "", "directory for shrunk reproducer BLIF files")
+		maxFailures = flag.Int("max-failures", 1, "stop after this many failures")
+		oracle      = flag.String("oracle", "both", "oracles to run: differential|metamorphic|both")
+		workers     = flag.Int("workers", 4, "workers for the parallel sweeping engine")
+		perturb     = flag.Bool("perturb", false,
 			"run extra parallel sweeps under chaos schedules (injected yields, delays, forced flushes, spurious wakeups)")
 		perturbSchedules = flag.Int("perturb-schedules", 4,
 			"distinct chaos schedules per circuit when -perturb is set")

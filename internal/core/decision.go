@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"simgen/internal/network"
 )
@@ -79,23 +80,24 @@ func (e *engine) decide(id network.NodeID, strategy DecisionStrategy, depths *mf
 }
 
 // chooseRow selects a consistent, progress-making row of the node by the
-// decision strategy, skipping row indices present in tried (used by
+// decision strategy, skipping row indices listed in tried (used by
 // backtracking). It returns the index into the node's row set.
-func (e *engine) chooseRow(id network.NodeID, strategy DecisionStrategy, depths *mffcDepths, rng *rand.Rand, tried map[int]bool) (int, bool) {
-	nd := e.net.Node(id)
-	st := nodeStateOf(e.net, e.vals, id)
+func (e *engine) chooseRow(id network.NodeID, strategy DecisionStrategy, depths *mffcDepths, rng *rand.Rand, tried []int) (int, bool) {
+	st := e.vals.state(id)
 	rs := e.rows.of(id)
+	lo, hi := rs.span(st.out)
 
-	var candIdx []int
-	for i := range rs.rows {
-		if tried[i] {
+	candIdx := e.candIdx[:0]
+	for i := lo; i < hi; i++ {
+		if slices.Contains(tried, i) {
 			continue
 		}
-		r := rs.rows[i]
-		if r.consistent(st) && r.assignsNew(st) {
+		c := rs.rows[i].cube
+		if c.ConsistentWith(st.inMask, st.inVal) && c.Mask&^st.inMask != 0 {
 			candIdx = append(candIdx, i)
 		}
 	}
+	e.candIdx = candIdx
 	if len(candIdx) == 0 {
 		return -1, false
 	}
@@ -103,29 +105,30 @@ func (e *engine) chooseRow(id network.NodeID, strategy DecisionStrategy, depths 
 	case DecRandom:
 		return candIdx[rng.Intn(len(candIdx))], true
 	default:
-		prios := make([]float64, len(candIdx))
+		fanins := e.g.faninsOf(id)
+		prios := e.prios[:0]
 		maxP := 0.0
-		for i, ri := range candIdx {
+		for _, ri := range candIdx {
 			r := rs.rows[ri]
-			p := priorityAlpha * float64(r.cube.NumDC(len(nd.Fanins)))
+			p := priorityAlpha * float64(r.cube.NumDC(len(fanins)))
 			if strategy == DecDCMFFC {
-				p += priorityBeta * e.mffcRank(r, nd.Fanins, depths)
+				p += priorityBeta * e.mffcRank(r, fanins, depths)
 			}
-			prios[i] = p
+			prios = append(prios, p)
 			if p > maxP {
 				maxP = p
 			}
 		}
+		e.prios = prios
 		return candIdx[rouletteWheel(prios, maxP, rng)], true
 	}
 }
 
 // applyRowIndex applies the idx-th row of the node's row set against the
-// current state.
+// current state: its output and every cared input not yet assigned.
 func (e *engine) applyRowIndex(id network.NodeID, idx int) {
-	nd := e.net.Node(id)
-	st := nodeStateOf(e.net, e.vals, id)
-	e.applyRow(id, nd.Fanins, e.rows.of(id).rows[idx], st)
+	r := e.rows.of(id).rows[idx]
+	e.apply(id, e.vals.state(id), true, r.out, r.cube.Mask, r.cube.Val)
 }
 
 // mffcRank implements Eq. 3: the sum of MFFC depths over the row's non-DC

@@ -28,12 +28,16 @@ func (s ImplicationStrategy) String() string {
 // engine is the shared propagation machinery of SimGen and the reverse
 // simulation baseline.
 type engine struct {
-	net  *network.Network
+	g    *graph
 	rows *rowCache
 	vals *assignment
 
 	queue  []network.NodeID
 	queued []bool
+
+	// candIdx and prios are chooseRow's scratch, reused across decisions.
+	candIdx []int
+	prios   []float64
 
 	// implications counts row applications performed by propagate — the
 	// unit of implication work reported through GenStats.
@@ -41,10 +45,11 @@ type engine struct {
 }
 
 func newEngine(net *network.Network) *engine {
+	g := newGraph(net)
 	return &engine{
-		net:    net,
+		g:      g,
 		rows:   newRowCache(net),
-		vals:   newAssignment(net.NumNodes()),
+		vals:   newAssignmentOn(g),
 		queued: make([]bool, net.NumNodes()),
 	}
 }
@@ -62,7 +67,8 @@ func (e *engine) enqueue(id network.NodeID) {
 func (e *engine) assignAndWake(id network.NodeID, v bool) {
 	e.vals.set(id, v)
 	e.enqueue(id)
-	for _, fo := range e.net.Fanouts(id) {
+	g := e.g
+	for _, fo := range g.fanouts[g.fanoutStart[id]:g.fanoutStart[id+1]] {
 		e.enqueue(fo)
 	}
 }
@@ -71,152 +77,86 @@ func (e *engine) assignAndWake(id network.NodeID, v bool) {
 // It returns false on conflict (a node whose assignment matches no row).
 // Implications flow both backward (output to inputs) and forward (inputs
 // to output), independently of node levels, per Definition 2.2.
+//
+// One pass over the rows of the node's output polarity (all rows when the
+// output is unassigned) counts the consistent rows and folds their
+// agreement: whether they share the output value, and the input positions
+// on which they all care with the same value. With one consistent row the
+// agreement is that row, so simple implication applies it; advanced
+// implication (Definition 4.1) applies the agreement of several rows —
+// positions where rows differ, including a don't-care versus a value,
+// remain unassigned.
 func (e *engine) propagate(strategy ImplicationStrategy) bool {
 	for len(e.queue) > 0 {
 		id := e.queue[len(e.queue)-1]
 		e.queue = e.queue[:len(e.queue)-1]
 		e.queued[id] = false
 
-		nd := e.net.Node(id)
-		if nd.Kind == network.KindPI {
+		if e.g.kind[id] == network.KindPI {
 			continue
 		}
-		st := nodeStateOf(e.net, e.vals, id)
+		st := e.vals.state(id)
 		rs := e.rows.of(id)
+		lo, hi := rs.span(st.out)
 
-		// Collect consistent rows.
-		var first, second *row
 		count := 0
-		for i := range rs.rows {
-			if rs.rows[i].consistent(st) {
-				count++
-				if first == nil {
-					first = &rs.rows[i]
-				} else if second == nil {
-					second = &rs.rows[i]
-				}
+		outAgree := true
+		var outVal bool
+		var agreeMask, agreeVal uint32
+		rows := rs.rows[lo:hi]
+		for i := range rows {
+			r := &rows[i]
+			if !r.cube.ConsistentWith(st.inMask, st.inVal) {
+				continue
+			}
+			count++
+			if count == 1 {
+				outVal = r.out
+				agreeMask, agreeVal = r.cube.Mask, r.cube.Val
+				continue
+			}
+			if r.out != outVal {
+				outAgree = false
+			}
+			agreeMask &= r.cube.Mask
+			agreeMask &^= agreeVal ^ r.cube.Val
+			agreeVal &= agreeMask
+			if strategy != ImplAdvanced ||
+				agreeMask&^st.inMask == 0 && (!outAgree || st.out != unassigned) {
+				// Further rows can only shrink the agreement: nothing
+				// will be implied here.
+				break
 			}
 		}
 		if count == 0 {
 			e.clearQueue()
 			return false
 		}
-		if count == 1 {
-			// Simple implication: the single row's values are forced.
-			e.implications++
-			e.applyRow(id, nd.Fanins, *first, st)
+		if count > 1 && strategy != ImplAdvanced {
 			continue
 		}
-		if strategy == ImplAdvanced {
-			e.implications++
-			e.applyAgreement(id, nd.Fanins, rs, st)
-		}
+		e.implications++
+		e.apply(id, st, outAgree, outVal, agreeMask, agreeVal)
 	}
 	return true
 }
 
-// applyRow assigns the row's output and every cared input that is not yet
-// assigned. Consistency was already checked.
-func (e *engine) applyRow(id network.NodeID, fanins []network.NodeID, r row, st nodeState) {
-	if st.out == unassigned {
-		e.assignAndWake(id, r.out)
+// apply assigns the node's output to out when setOut holds and it is
+// unassigned, then every input position of mask that is not yet assigned
+// to its value in val. Consistency with the state was already checked.
+func (e *engine) apply(id network.NodeID, st nodeState, setOut, out bool, mask, val uint32) {
+	if setOut && st.out == unassigned {
+		e.assignAndWake(id, out)
 	}
-	for i, f := range fanins {
-		v, cared := r.cube.Has(i)
-		if !cared {
-			continue
-		}
-		if st.inMask&(1<<uint(i)) != 0 {
-			continue
-		}
-		if e.vals.assigned(f) {
-			// A duplicate fanin position may have been assigned by an
-			// earlier position of this same row application.
-			continue
-		}
-		e.assignAndWake(f, v)
-	}
-}
-
-// applyAgreement implements advanced implication (Definition 4.1): values
-// on which all consistent rows agree are propagated; positions where rows
-// differ — including a don't-care versus a value — remain unassigned.
-func (e *engine) applyAgreement(id network.NodeID, fanins []network.NodeID, rs *rowSet, st nodeState) {
-	// Fast path: with no inputs assigned, the consistent rows are exactly
-	// one polarity cover (or all rows), whose agreements are precomputed.
-	if st.inMask == 0 {
-		switch st.out {
-		case val1:
-			e.applyStaticAgreement(fanins, rs.onAgreeMask, rs.onAgreeVal)
-			return
-		case val0:
-			e.applyStaticAgreement(fanins, rs.offAgreeMask, rs.offAgreeVal)
-			return
-		default:
-			// Output unassigned: with both polarities present nothing can
-			// be implied (the rows disagree on the output, and an input
-			// agreement would require agreement across both covers, which
-			// the general path below computes only when inputs constrain
-			// the row set — here they don't, so intersect the two masks).
-			if rs.hasOn && rs.hasOff {
-				m := rs.onAgreeMask & rs.offAgreeMask
-				m &^= rs.onAgreeVal ^ rs.offAgreeVal
-				e.applyStaticAgreement(fanins, m, rs.onAgreeVal&m)
-				return
-			}
-		}
-	}
-	narity := len(fanins)
-	outAgree := true
-	var outVal bool
-	// inAgree[i]: all rows care about input i with the same value.
-	agreeMask := uint32(1)<<uint(narity) - 1
-	var agreeVal uint32
-	firstRow := true
-	for i := range rs.rows {
-		r := &rs.rows[i]
-		if !r.consistent(st) {
-			continue
-		}
-		if firstRow {
-			outVal = r.out
-			agreeMask &= r.cube.Mask
-			agreeVal = r.cube.Val
-			firstRow = false
-			continue
-		}
-		if r.out != outVal {
-			outAgree = false
-		}
-		agreeMask &= r.cube.Mask
-		agreeMask &^= agreeVal ^ r.cube.Val
-		agreeVal &= agreeMask
-	}
-	if outAgree && st.out == unassigned {
-		e.assignAndWake(id, outVal)
-	}
-	newMask := agreeMask &^ st.inMask
-	if newMask == 0 {
-		return
-	}
-	for i, f := range fanins {
-		bit := uint32(1) << uint(i)
-		if newMask&bit == 0 || e.vals.assigned(f) {
-			continue
-		}
-		e.assignAndWake(f, agreeVal&bit != 0)
-	}
-}
-
-// applyStaticAgreement assigns the agreed input values of a precomputed
-// agreement mask.
-func (e *engine) applyStaticAgreement(fanins []network.NodeID, mask, val uint32) {
+	mask &^= st.inMask
 	if mask == 0 {
 		return
 	}
-	for i, f := range fanins {
+	for i, f := range e.g.faninsOf(id) {
 		bit := uint32(1) << uint(i)
 		if mask&bit == 0 || e.vals.assigned(f) {
+			// A duplicate fanin position may have been assigned by an
+			// earlier position of this same application.
 			continue
 		}
 		e.assignAndWake(f, val&bit != 0)

@@ -89,12 +89,8 @@ func (r *Reverse) VectorForPair(a, b network.NodeID) ([]bool, bool) {
 		// value; previous assignments are not consulted (that is the
 		// limitation SimGen addresses).
 		rs := r.eng.rows.of(id)
-		var cand []row
-		for _, rw := range rs.rows {
-			if rw.out == out {
-				cand = append(cand, rw)
-			}
-		}
+		lo, hi := rs.span(boolValue(out))
+		cand := rs.rows[lo:hi]
 		if len(cand) == 0 {
 			r.Conflicts++
 			return nil, false // output value impossible (constant node)

@@ -13,77 +13,52 @@ type row struct {
 	out  bool
 }
 
-// rowSet holds the combined on-/off-set rows of one node, plus precomputed
-// "static" agreements: the input positions on which all rows of one output
-// polarity agree. They answer the most frequent advanced-implication query
-// — a node whose output was just assigned and whose inputs are all free —
-// without scanning the rows.
+// rowSet holds the rows of one node: the on-set rows, then the off-set
+// rows from index nOn on. Row matching against an assigned output scans
+// only the rows of that polarity.
 type rowSet struct {
 	rows []row
-
-	// onAgree/offAgree: agreement across the rows of that polarity.
-	onAgreeMask, onAgreeVal   uint32
-	offAgreeMask, offAgreeVal uint32
-	hasOn, hasOff             bool
+	nOn  int
 }
 
-// computeStaticAgreements fills the per-polarity agreement masks.
-func (rs *rowSet) computeStaticAgreements(arity int) {
-	full := uint32(1)<<uint(arity) - 1
-	onMask, offMask := full, full
-	var onVal, offVal uint32
-	for _, r := range rs.rows {
-		if r.out {
-			if !rs.hasOn {
-				rs.hasOn = true
-				onMask &= r.cube.Mask
-				onVal = r.cube.Val
-			} else {
-				onMask &= r.cube.Mask
-				onMask &^= onVal ^ r.cube.Val
-			}
-			onVal &= onMask
-		} else {
-			if !rs.hasOff {
-				rs.hasOff = true
-				offMask &= r.cube.Mask
-				offVal = r.cube.Val
-			} else {
-				offMask &= r.cube.Mask
-				offMask &^= offVal ^ r.cube.Val
-			}
-			offVal &= offMask
-		}
-	}
-	if rs.hasOn {
-		rs.onAgreeMask, rs.onAgreeVal = onMask, onVal&onMask
-	}
-	if rs.hasOff {
-		rs.offAgreeMask, rs.offAgreeVal = offMask, offVal&offMask
+// span returns the index range of the rows whose output agrees with out:
+// all rows when the output is unassigned.
+func (rs *rowSet) span(out value) (lo, hi int) {
+	switch out {
+	case val1:
+		return 0, rs.nOn
+	case val0:
+		return rs.nOn, len(rs.rows)
+	default:
+		return 0, len(rs.rows)
 	}
 }
 
-// rowCache lazily builds rowSets per node.
+// rowCache lazily builds rowSets per node. Every LUT and constant has at
+// least one row, so a nil row slice means "not built yet".
 type rowCache struct {
 	net  *network.Network
-	sets []*rowSet
+	sets []rowSet
 }
 
 func newRowCache(net *network.Network) *rowCache {
-	return &rowCache{net: net, sets: make([]*rowSet, net.NumNodes())}
+	return &rowCache{net: net, sets: make([]rowSet, net.NumNodes())}
 }
 
 func (rc *rowCache) of(id network.NodeID) *rowSet {
-	if rs := rc.sets[id]; rs != nil {
+	rs := &rc.sets[id]
+	if rs.rows != nil {
 		return rs
 	}
 	nd := rc.net.Node(id)
-	rs := &rowSet{}
 	switch nd.Kind {
 	case network.KindPI:
 		// PIs have no rows: their value is free.
 	case network.KindConst:
 		rs.rows = []row{{out: nd.Func.IsConst1()}}
+		if nd.Func.IsConst1() {
+			rs.nOn = 1
+		}
 	default:
 		on, off := rc.net.Covers(id)
 		rs.rows = make([]row, 0, len(on)+len(off))
@@ -93,9 +68,8 @@ func (rc *rowCache) of(id network.NodeID) *rowSet {
 		for _, c := range off {
 			rs.rows = append(rs.rows, row{cube: c, out: false})
 		}
-		rs.computeStaticAgreements(len(nd.Fanins))
+		rs.nOn = len(on)
 	}
-	rc.sets[id] = rs
 	return rs
 }
 
@@ -106,44 +80,13 @@ type nodeState struct {
 	out           value
 }
 
-// state reads the node's surrounding assignment.
-func nodeStateOf(net *network.Network, a *assignment, id network.NodeID) nodeState {
-	var st nodeState
-	st.out = a.vals[id]
-	for i, f := range net.Node(id).Fanins {
-		if v, ok := a.get(f); ok {
-			st.inMask |= 1 << uint(i)
-			if v {
-				st.inVal |= 1 << uint(i)
-			}
-		}
-	}
-	return st
-}
-
-// consistent reports whether the row matches the node state: the cube does
-// not contradict assigned inputs and the output polarity matches an
-// assigned output.
-func (r row) consistent(st nodeState) bool {
-	if st.out != unassigned && boolValue(r.out) != st.out {
-		return false
-	}
-	return r.cube.ConsistentWith(st.inMask, st.inVal)
-}
-
-// assignsNew reports whether applying the row would set at least one
-// currently unassigned input.
-func (r row) assignsNew(st nodeState) bool {
-	return r.cube.Mask&^st.inMask != 0
-}
-
 // justified reports whether some consistent row is fully assigned: the
 // node's output value is then guaranteed under any completion of the
 // remaining unassigned inputs, so no further decision is needed here.
 func (rs *rowSet) justified(st nodeState) bool {
-	for i := range rs.rows {
-		r := &rs.rows[i]
-		if r.consistent(st) && r.cube.Mask&^st.inMask == 0 {
+	lo, hi := rs.span(st.out)
+	for _, r := range rs.rows[lo:hi] {
+		if r.cube.Mask&^st.inMask == 0 && r.cube.ConsistentWith(st.inMask, st.inVal) {
 			return true
 		}
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"simgen/internal/network"
@@ -44,10 +46,23 @@ type Generator struct {
 	GoldPolicy OutGoldPolicy
 	goldState  *goldState
 
-	// coneCache memoizes fanin cones per target; classes revisit the same
-	// targets across iterations, making this the generator's hottest
-	// allocation site otherwise.
-	coneCache map[network.NodeID][]network.NodeID
+	// cone marks the fanin cone of the current target: node n is in it when
+	// cone.has(n). stuck marks the cone nodes parked for this target.
+	cone, stuck epochSet
+	dfs         []network.NodeID // cone-marking DFS stack
+
+	// Reused per-call buffers: VectorForTargets' target order and honored
+	// flags, the backtracking decision stack and the row indices each
+	// decision point has tried (stack entry k owns tried[k.tried:] up to the
+	// next entry's start).
+	order   []int
+	honored []bool
+	stack   []decisionPoint
+	tried   []int
+
+	// checkLatest, when set (by tests), is called with every decision
+	// candidate latestUpdated returns for the current target.
+	checkLatest func(target, cand network.NodeID)
 
 	// Backtrack, when positive, allows that many backtracks per target: on
 	// a conflict the engine undoes the most recent decision and tries a
@@ -73,7 +88,8 @@ func NewGenerator(net *network.Network, strategy Strategy, seed int64) *Generato
 		rng:       rand.New(rand.NewSource(seed)),
 		TargetCap: 32,
 		goldState: newGoldState(),
-		coneCache: make(map[network.NodeID][]network.NodeID),
+		cone:      newEpochSet(net.NumNodes()),
+		stuck:     newEpochSet(net.NumNodes()),
 	}
 }
 
@@ -116,26 +132,30 @@ func OutGoldPhase(members []network.NodeID, phase bool) ([]network.NodeID, []boo
 // a per-target flag reporting which targets were honored — simulating the
 // vector is guaranteed to produce the OUTgold value at every honored
 // target — and whether the vector is useful: at least one 0-target and one
-// 1-target honored, so simulation can split the class.
+// 1-target honored, so simulation can split the class. The honored slice
+// is reused by the next call.
 func (g *Generator) VectorForTargets(targets []network.NodeID, gold []bool) ([]bool, []bool, bool) {
 	e := g.eng
 	e.vals.reset()
 	e.clearQueue()
 
 	// Order target nodes by decreasing network depth (Alg. 1 line 2).
-	order := make([]int, len(targets))
-	for i := range order {
-		order[i] = i
+	order := g.order[:0]
+	for i := range targets {
+		order = append(order, i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := g.net.Level(targets[order[a]]), g.net.Level(targets[order[b]])
-		if la != lb {
-			return la > lb
+	slices.SortFunc(order, func(a, b int) int {
+		ta, tb := targets[a], targets[b]
+		if la, lb := g.net.Level(ta), g.net.Level(tb); la != lb {
+			return cmp.Compare(lb, la)
 		}
-		return targets[order[a]] < targets[order[b]]
+		return cmp.Compare(ta, tb)
 	})
+	g.order = order
 
-	honored := make([]bool, len(targets))
+	honored := slices.Grow(g.honored[:0], len(targets))[:len(targets)]
+	clear(honored)
+	g.honored = honored
 	okZero, okOne := false, false
 	for _, ti := range order {
 		target, want := targets[ti], gold[ti]
@@ -170,6 +190,15 @@ func (g *Generator) VectorForTargets(targets []network.NodeID, gold []bool) ([]b
 	return vec, honored, okZero && okOne
 }
 
+// decisionPoint is one entry of processTarget's backtracking stack: the
+// trail mark before the decision, the decided node, and where its tried
+// row indices start in Generator.tried.
+type decisionPoint struct {
+	mark  int
+	node  network.NodeID
+	tried int
+}
+
 // processTarget implements the body of Algorithm 1's outer loop for one
 // target node: assign OUTgold, then interleave implication and decision
 // until the target's cone is settled or a conflict resets the attempt.
@@ -186,24 +215,18 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 		return false
 	}
 
-	cone, ok := g.coneCache[target]
-	if !ok {
-		cone = g.net.FaninCone(target)
-		g.coneCache[target] = cone
-	}
-	var stuck map[network.NodeID]bool // allocated on first use (rare)
+	g.markCone(target)
+	g.stuck.reset()
 	// Decision stack for optional backtracking (disabled when
 	// g.Backtrack == 0, the paper's configuration).
-	type decisionPoint struct {
-		mark  int
-		node  network.NodeID
-		tried map[int]bool
-	}
-	var stack []decisionPoint
+	g.stack, g.tried = g.stack[:0], g.tried[:0]
 	backtracksLeft := g.Backtrack
 
 	for {
-		cand := g.latestUpdated(cone, stuck)
+		cand := g.latestUpdated()
+		if g.checkLatest != nil {
+			g.checkLatest(target, cand)
+		}
 		if cand == network.NoNode {
 			return true // every assigned cone node is justified
 		}
@@ -211,16 +234,12 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 		if !ok {
 			// No consistent row assigns anything new, yet the node is not
 			// justified: a degenerate state that cannot improve. Park it.
-			if stuck == nil {
-				stuck = make(map[network.NodeID]bool)
-			}
-			stuck[cand] = true
+			g.stuck.add(cand)
 			continue
 		}
 		if g.Backtrack > 0 {
-			stack = append(stack, decisionPoint{
-				mark: e.vals.mark(), node: cand, tried: map[int]bool{idx: true},
-			})
+			g.stack = append(g.stack, decisionPoint{mark: e.vals.mark(), node: cand, tried: len(g.tried)})
+			g.tried = append(g.tried, idx)
 		}
 		g.Decisions++
 		e.applyRowIndex(cand, idx)
@@ -229,26 +248,25 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 		}
 		// Conflict: try backtracking before giving up on the target.
 		recovered := false
-		for backtracksLeft > 0 && len(stack) > 0 {
-			top := &stack[len(stack)-1]
+		for backtracksLeft > 0 && len(g.stack) > 0 {
+			top := g.stack[len(g.stack)-1]
 			e.vals.undoTo(top.mark)
 			e.clearQueue()
 			backtracksLeft--
 			g.Backtracks++
-			idx, ok := e.chooseRow(top.node, g.strategy.Dec, g.depths, g.rng, top.tried)
+			idx, ok := e.chooseRow(top.node, g.strategy.Dec, g.depths, g.rng, g.tried[top.tried:])
 			if !ok {
-				stack = stack[:len(stack)-1] // row choices exhausted here
+				// Row choices exhausted here.
+				g.stack, g.tried = g.stack[:len(g.stack)-1], g.tried[:top.tried]
 				continue
 			}
-			top.tried[idx] = true
+			g.tried = append(g.tried, idx)
 			g.Decisions++
 			e.applyRowIndex(top.node, idx)
 			if e.propagate(g.strategy.Impl) {
 				recovered = true
 				// Earlier "stuck" verdicts may no longer hold.
-				for k := range stuck {
-					delete(stuck, k)
-				}
+				g.stuck.reset()
 				break
 			}
 		}
@@ -260,35 +278,64 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 	}
 }
 
+// markCone marks the fanin cone of target (target included) in g.cone.
+func (g *Generator) markCone(target network.NodeID) {
+	g.cone.reset()
+	g.cone.add(target)
+	stack := append(g.dfs[:0], target)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, f := range g.eng.g.faninsOf(id) {
+			if !g.cone.has(f) {
+				g.cone.add(f)
+				stack = append(stack, f)
+			}
+		}
+	}
+	g.dfs = stack
+}
+
+// epochSet is a set of node IDs emptied in O(1): n is a member when
+// mark[n] equals the current epoch.
+type epochSet struct {
+	mark  []uint32
+	epoch uint32
+}
+
+func newEpochSet(n int) epochSet { return epochSet{mark: make([]uint32, n), epoch: 1} }
+
+func (s *epochSet) has(id network.NodeID) bool { return s.mark[id] == s.epoch }
+
+func (s *epochSet) add(id network.NodeID) { s.mark[id] = s.epoch }
+
+// reset empties the set, zeroing the marks when the epoch wraps around.
+func (s *epochSet) reset() {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.mark)
+		s.epoch = 1
+	}
+}
+
 // latestUpdated returns the most recently updated cone node whose assigned
 // output value is not yet justified by a fully-assigned row (Alg. 1 line
 // 15). Justified nodes keep their remaining inputs as don't-cares — the
-// point of the decision heuristics of Section 5.
-func (g *Generator) latestUpdated(cone []network.NodeID, stuck map[network.NodeID]bool) network.NodeID {
+// point of the decision heuristics of Section 5. The trail orders the
+// assignments, so the newest-first walk stops at the answer.
+func (g *Generator) latestUpdated() network.NodeID {
 	e := g.eng
-	best := network.NoNode
-	var bestStamp int64 = -1
-	for _, id := range cone {
-		if stuck[id] {
+	trail := e.vals.trail
+	for i := len(trail) - 1; i >= 0; i-- {
+		id := trail[i]
+		if e.g.kind[id] != network.KindLUT || !g.cone.has(id) || g.stuck.has(id) {
 			continue
 		}
-		nd := g.net.Node(id)
-		if nd.Kind != network.KindLUT {
-			continue
-		}
-		if !e.vals.assigned(id) {
-			continue
-		}
-		if s := e.vals.stamp[id]; s > bestStamp {
-			st := nodeStateOf(g.net, e.vals, id)
-			if e.rows.of(id).justified(st) {
-				continue
-			}
-			bestStamp = s
-			best = id
+		if !e.rows.of(id).justified(e.vals.state(id)) {
+			return id
 		}
 	}
-	return best
+	return network.NoNode
 }
 
 // extractVector reads the PI assignment, filling don't-care PIs randomly.
