@@ -107,12 +107,12 @@ fuzz:
 bench-full:
 	$(GO) test -bench=. -benchmem
 
-# Simulation-core micro-benchmarks: the arena kernel, incremental
+# Simulation-core micro-benchmarks: the arena kernel, the pair-cone kernel, incremental
 # resimulation, bucketed refinement, vector packing, the SimGen generator's
 # guided batch, the sweeping counterexample pool, and end-to-end service
 # throughput. BENCHCOUNT repetitions give the gate stable medians.
 BENCHCOUNT ?= 5
-BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkGuidedBatch|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep
+BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkConeEval|BenchmarkRefine|BenchmarkPackVectors|BenchmarkGuidedBatch|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep
 BENCHDIRS ?= ./internal/sim ./internal/core ./internal/sweep ./internal/sweepd .
 .PHONY: bench
 bench:

@@ -37,7 +37,7 @@ func main() {
 	res := simgen.Sweep(net, run.Classes, simgen.SweepOptions{})
 	fmt.Printf("after SAT sweeping:       cost %d\n\n", res.FinalCost)
 	fmt.Printf("SAT calls:    %d (%.2f ms)\n", res.SATCalls,
-		float64(res.SATTime.Microseconds())/1000)
+		float64(res.Time.Microseconds())/1000)
 	fmt.Printf("proved equivalent: %d node pairs\n", res.Proved)
 	fmt.Printf("disproved:         %d node pairs\n", res.Disproved)
 }

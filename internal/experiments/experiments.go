@@ -131,7 +131,7 @@ func RunPipeline(net *network.Network, m Method, cfg Config, withSweep bool) Pip
 		sw := sweep.New(net, runner.Classes, sweep.Options{ConflictBudget: cfg.ConflictBudget})
 		sres := sw.Run()
 		res.SATCalls = sres.SATCalls
-		res.SATTime = sres.SATTime
+		res.SATTime = sres.Time
 		res.Proved = sres.Proved
 	}
 	return res

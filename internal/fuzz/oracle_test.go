@@ -168,9 +168,11 @@ func TestMutantsAreCaught(t *testing.T) {
 }
 
 // TestExhaustiveInputsLayout pins the minterm layout contract between
-// sim.ExhaustiveInputs and tt.Table.
+// sim.ExhaustiveInputs (built from sim.ExhaustiveWord, the layout the
+// exhaustive-simulation engine decodes counterexamples through) and
+// tt.Table, up to the engine's 12-input cutoff.
 func TestExhaustiveInputsLayout(t *testing.T) {
-	for _, npi := range []int{1, 3, 6, 7, 9} {
+	for _, npi := range []int{1, 3, 6, 7, 9, 12} {
 		net := network.New("pis")
 		for i := 0; i < npi; i++ {
 			net.AddPI("")

@@ -185,8 +185,8 @@ func TestReportMatchesResult(t *testing.T) {
 
 				// Time attribution: prove time is the same sum the sweeper
 				// reports, and cannot exceed the workers' combined wall time.
-				if rep.ProveTime != res.SATTime {
-					t.Errorf("prove time: report %v, result %v", rep.ProveTime, res.SATTime)
+				if rep.ProveTime != res.Time {
+					t.Errorf("prove time: report %v, result %v", rep.ProveTime, res.Time)
 				}
 				for _, e := range rep.Engines {
 					if e.Time < 0 || e.Time > rep.ProveTime {

@@ -20,6 +20,7 @@ import (
 	"simgen/internal/network"
 	"simgen/internal/obs"
 	"simgen/internal/prover"
+	"simgen/internal/sim"
 )
 
 // Session binds a Store to one network for one run. It is goroutine-safe:
@@ -31,18 +32,24 @@ type Session struct {
 
 	mu    sync.Mutex
 	keyer *Keyer
-	ev    *evaluator
+	cone  *sim.Cone
+	piPos []int32 // piPos[pi] is pi's index in net.PIs()
 }
 
 // NewSession creates a session over net. Events (cache probe / hit / miss
 // / evict / revalidate-fail) go to tr; nil means no tracing.
 func NewSession(store *Store, net *network.Network, tr obs.Tracer) *Session {
+	piPos := make([]int32, net.NumNodes())
+	for i, pi := range net.PIs() {
+		piPos[pi] = int32(i)
+	}
 	return &Session{
 		store: store,
 		net:   net,
 		tr:    obs.OrNop(tr),
 		keyer: NewKeyer(net),
-		ev:    newEvaluator(net),
+		cone:  sim.NewCone(net),
+		piPos: piPos,
 	}
 }
 
@@ -62,7 +69,7 @@ func (s *Session) Probe(_ context.Context, a, b network.NodeID) prover.CacheProb
 	var cp prover.CacheProbe
 	switch hit := s.store.Lookup(ka, kb, chk); hit.kind {
 	case hitEqual:
-		if s.ev.equal(a, b, ka^kb) {
+		if s.revalEqual(a, b, ka^kb) {
 			cp.Hit = true
 			cp.Verdict = prover.Equal
 			s.tr.Emit(obs.Event{Kind: obs.KindCacheHit, A: int32(a), B: int32(b),
@@ -74,7 +81,7 @@ func (s *Session) Probe(_ context.Context, a, b network.NodeID) prover.CacheProb
 		s.tr.Emit(obs.Event{Kind: obs.KindCacheRevalidateFail, A: int32(a), B: int32(b)})
 		s.tr.Emit(obs.Event{Kind: obs.KindCacheEvict, Dropped: int32(dropped)})
 	case hitDiffer:
-		if s.ev.separates(a, b, hit.cex) {
+		if s.revalSeparates(a, b, hit.cex) {
 			cp.Hit = true
 			cp.Verdict = prover.Differ
 			cp.Cex = append([]bool(nil), hit.cex...)

@@ -7,6 +7,7 @@ import (
 
 	"simgen/internal/network"
 	"simgen/internal/obs"
+	"simgen/internal/sim"
 )
 
 // DefaultSimPIs is the default combined-support cutoff for the exhaustive
@@ -24,14 +25,7 @@ type Sim struct {
 	net    *network.Network
 	maxPIs int
 	tr     obs.Tracer
-
-	// Reusable per-call scratch: vals[node] is that node's simulation words
-	// for the current pair, arena the backing store, stamp/epoch the
-	// membership test that avoids clearing vals between calls.
-	vals  [][]uint64
-	arena []uint64
-	stamp []uint32
-	epoch uint32
+	cone   *sim.Cone
 }
 
 // NewSim creates an exhaustive-simulation engine; maxPIs <= 0 means
@@ -40,14 +34,7 @@ func NewSim(net *network.Network, maxPIs int) *Sim {
 	if maxPIs <= 0 {
 		maxPIs = DefaultSimPIs
 	}
-	n := net.NumNodes()
-	return &Sim{
-		net:    net,
-		maxPIs: maxPIs,
-		tr:     obs.Nop,
-		vals:   make([][]uint64, n),
-		stamp:  make([]uint32, n),
-	}
+	return &Sim{net: net, maxPIs: maxPIs, tr: obs.Nop, cone: sim.NewCone(net)}
 }
 
 // Name implements Engine.
@@ -55,17 +42,6 @@ func (e *Sim) Name() string { return "sim" }
 
 // SetTracer implements Engine.
 func (e *Sim) SetTracer(t obs.Tracer) { e.tr = obs.OrNop(t) }
-
-// exhaustive lane patterns for support variables 0..5; variable j >= 6
-// selects whole words instead.
-var lanePatterns = [6]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
-}
 
 // Support returns the combined structural support of the pair: the union
 // of both fanin cones' primary inputs.
@@ -87,15 +63,15 @@ func Support(net *network.Network, a, b network.NodeID) []network.NodeID {
 // Prove implements Engine. Declined pairs (support over the cutoff) emit
 // no events: the engine did no work for them.
 func (e *Sim) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {
-	support := Support(e.net, a, b)
-	if len(support) > e.maxPIs {
+	k := len(e.cone.Pair(a, b))
+	if k > e.maxPIs {
 		return Result{} // declined: Unknown with zero stats
 	}
 	var res Result
 	e.tr.Emit(obs.Event{Kind: obs.KindProveStart, Engine: "sim",
 		A: int32(a), B: int32(b)})
 	start := time.Now()
-	res.Verdict, res.Cex = e.enumerate(a, b, support)
+	res.Verdict, res.Cex = e.enumerate(k)
 	res.Stats.Time = time.Since(start)
 	res.Stats.SimChecks++
 	e.tr.Emit(obs.Event{Kind: obs.KindProveVerdict, Engine: "sim",
@@ -103,106 +79,24 @@ func (e *Sim) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {
 	return res
 }
 
-// enumerate simulates all 2^k support assignments over both cones and
-// compares the roots.
-func (e *Sim) enumerate(a, b network.NodeID, support []network.NodeID) (Verdict, []bool) {
-	k := len(support)
-	nwords := 1
-	if k > 6 {
-		nwords = 1 << (k - 6)
-	}
-	varOf := make(map[network.NodeID]int, k)
-	for j, pi := range support {
-		varOf[pi] = j
-	}
-
-	// Collect the union of both cones in topological order (FaninCone is
-	// topological, and b's unvisited suffix only depends on already-placed
-	// nodes or its own prefix).
-	e.epoch++
-	cone := e.net.FaninCone(a)
-	for _, id := range cone {
-		e.stamp[id] = e.epoch
-	}
-	for _, id := range e.net.FaninCone(b) {
-		if e.stamp[id] != e.epoch {
-			e.stamp[id] = e.epoch
-			cone = append(cone, id)
+// enumerate simulates all 2^k assignments of the loaded pair's k support
+// inputs and compares the roots.
+func (e *Sim) enumerate(k int) (Verdict, []bool) {
+	va, vb := e.cone.Eval(sim.ExhaustiveWords(k), func(j int, out sim.Words) {
+		for w := range out {
+			out[w] = sim.ExhaustiveWord(j, w)
 		}
-	}
-	if need := len(cone) * nwords; cap(e.arena) < need {
-		e.arena = make([]uint64, need)
-	}
-	for i, id := range cone {
-		e.vals[id] = e.arena[i*nwords : (i+1)*nwords]
-	}
-
-	for _, id := range cone {
-		nd := e.net.Node(id)
-		out := e.vals[id]
-		switch nd.Kind {
-		case network.KindPI:
-			j := varOf[id]
-			for w := range out {
-				if j < 6 {
-					out[w] = lanePatterns[j]
-				} else if (w>>(j-6))&1 == 1 {
-					out[w] = ^uint64(0)
-				} else {
-					out[w] = 0
-				}
-			}
-		case network.KindConst:
-			fill := uint64(0)
-			if nd.Func.IsConst1() {
-				fill = ^uint64(0)
-			}
-			for w := range out {
-				out[w] = fill
-			}
-		default:
-			// Word-parallel evaluation over the on-set ISOP cover: each
-			// cube is an AND of (possibly complemented) fanin words, the
-			// output their OR. Covers is lazily cached on the network and
-			// not goroutine-safe — the sweep scheduler warms it before
-			// sharing the network across workers.
-			on, _ := e.net.Covers(id)
-			for w := range out {
-				var word uint64
-				for _, cube := range on {
-					term := ^uint64(0)
-					for i, f := range nd.Fanins {
-						v, cared := cube.Has(i)
-						if !cared {
-							continue
-						}
-						if v {
-							term &= e.vals[f][w]
-						} else {
-							term &= ^e.vals[f][w]
-						}
-					}
-					word |= term
-				}
-				out[w] = word
-			}
-		}
-	}
-
-	va, vb := e.vals[a], e.vals[b]
+	})
 	for w := range va {
 		if d := va[w] ^ vb[w]; d != 0 {
 			// Lanes beyond 2^k (k < 6) replicate real assignments modulo
-			// 2^k, so any differing lane decodes to a valid assignment.
+			// 2^k, so any differing lane decodes to a valid assignment:
+			// read it off the support inputs' own words.
 			m := w*64 + bits.TrailingZeros64(d)
 			cex := make([]bool, e.net.NumPIs())
-			pos := make(map[network.NodeID]int, e.net.NumPIs())
 			for i, pi := range e.net.PIs() {
-				pos[pi] = i
-			}
-			for j, pi := range support {
-				if (m>>uint(j))&1 == 1 {
-					cex[pos[pi]] = true
+				if v := e.cone.Val(pi); v != nil {
+					cex[i] = (v[m>>6]>>uint(m&63))&1 == 1
 				}
 			}
 			return Differ, cex

@@ -80,32 +80,12 @@ func ExhaustiveInputs(net *network.Network) ([]Words, int) {
 	if npi > MaxExhaustivePIs {
 		panic("sim: too many primary inputs for exhaustive enumeration")
 	}
-	nwords := 1
-	if npi > 6 {
-		nwords = 1 << (npi - 6)
-	}
+	nwords := ExhaustiveWords(npi)
 	inputs := make([]Words, npi)
 	for i := range inputs {
 		w := make(Words, nwords)
-		if i < 6 {
-			// Within a word, variable i alternates in blocks of 2^i bits.
-			var pat uint64
-			for m := 0; m < 64; m++ {
-				if m&(1<<uint(i)) != 0 {
-					pat |= 1 << uint(m)
-				}
-			}
-			for j := range w {
-				w[j] = pat
-			}
-		} else {
-			// Across words, variable i alternates in blocks of 2^(i-6) words.
-			period := 1 << (i - 6)
-			for j := range w {
-				if j&period != 0 {
-					w[j] = ^uint64(0)
-				}
-			}
+		for j := range w {
+			w[j] = ExhaustiveWord(i, j)
 		}
 		inputs[i] = w
 	}

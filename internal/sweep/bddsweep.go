@@ -80,7 +80,7 @@ func (s *BDDSweeper) RunContext(ctx context.Context) BDDResult {
 	res := s.sched.run(ctx, 1)
 	return BDDResult{
 		Checks:      res.BDDChecks,
-		Time:        res.SATTime,
+		Time:        res.Time,
 		Proved:      res.Proved,
 		Disproved:   res.Disproved,
 		Unresolved:  res.Unresolved,

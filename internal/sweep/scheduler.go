@@ -812,20 +812,7 @@ func (s *scheduler) apply(ctx context.Context, wid int32, ob obligation, pr prov
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := pr.Stats
-	s.res.SATCalls += st.SATCalls
-	s.res.SATTime += st.Time
-	s.res.Escalations += st.Escalations
-	s.res.BDDChecks += st.BDDChecks
-	s.res.SimChecks += st.SimChecks
-	s.res.WordChecks += st.WordChecks
-	s.res.WordFrontier += st.WordFrontier
-	s.res.BDDBlowups += st.BDDBlowups
-	s.res.Conflicts += st.Conflicts
-	s.res.Propagations += st.Propagations
-	s.res.CacheProbes += st.CacheProbes
-	s.res.CacheHits += st.CacheHits
-	s.res.CacheMisses += st.CacheMisses
-	s.res.CacheRevalFails += st.CacheRevalFails
+	s.res.Add(st)
 	if pr.Verdict == prover.Unknown && pr.Transient && ctx.Err() == nil {
 		// A transient (injected) engine failure is not budget exhaustion:
 		// requeue the pair for another attempt instead of resolving it.
@@ -881,20 +868,7 @@ func (s *scheduler) apply(ctx context.Context, wid int32, ob obligation, pr prov
 // outside mu entirely.
 func (s *scheduler) applyPar(ctx context.Context, w *workerState, wid int32, ob obligation, pr prover.Result) bool {
 	st := pr.Stats
-	w.res.SATCalls += st.SATCalls
-	w.res.SATTime += st.Time
-	w.res.Escalations += st.Escalations
-	w.res.BDDChecks += st.BDDChecks
-	w.res.SimChecks += st.SimChecks
-	w.res.WordChecks += st.WordChecks
-	w.res.WordFrontier += st.WordFrontier
-	w.res.BDDBlowups += st.BDDBlowups
-	w.res.Conflicts += st.Conflicts
-	w.res.Propagations += st.Propagations
-	w.res.CacheProbes += st.CacheProbes
-	w.res.CacheHits += st.CacheHits
-	w.res.CacheMisses += st.CacheMisses
-	w.res.CacheRevalFails += st.CacheRevalFails
+	w.res.Add(st)
 	s.satCalls.Add(int64(st.SATCalls))
 	if pr.Verdict == prover.Unknown && pr.Transient && ctx.Err() == nil {
 		s.mu.Lock()

@@ -33,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"simgen/internal/chaos"
 	"simgen/internal/network"
@@ -235,63 +234,45 @@ func (o Options) policy() prover.Policy {
 
 // Result reports the work performed by a sweep.
 type Result struct {
-	Scheduled  int           // proof obligations claimed by workers
-	SATCalls   int           // number of SAT Solve invocations
-	SATTime    time.Duration // cumulative engine prove wall time
-	Proved     int           // pairs proven equivalent (merged)
-	Disproved  int           // pairs split by a counterexample
-	Unresolved int           // pairs abandoned after every budget and engine
-	CexVectors int           // counterexamples re-simulated
-	FinalCost  int           // Eq. (5) cost after sweeping
+	// Engine work folded from every prover.Result with Stats.Add: SAT
+	// calls, conflicts and propagations, BDD/sim/word checks,
+	// escalations, cache probe counters and the cumulative engine prove
+	// wall time (Time).
+	prover.Stats
 
-	Escalations  int   // escalated SAT re-checks performed
-	BDDChecks    int   // pairs referred to the BDD engine
-	BDDBlowups   int   // BDD checks abandoned on the node limit
-	SimChecks    int   // pairs settled by exhaustive simulation
-	WordChecks   int   // word-stage attempts on in-word pairs
-	WordFrontier int   // word-slice equalities proven and learned by the stage
-	Conflicts    int64 // SAT conflicts spent across all calls
-	Propagations int64 // SAT unit propagations spent across all calls
-	WorkerPanics int   // recovered worker panics (requeued or unresolved)
-	Requeued     int   // obligations returned to the queue after a panic or transient failure
-	Retried      int   // requeued obligations claimed again
-	PoolFlushes  int   // batched counterexample refinements performed
-	PoolLanes    int   // total vector lanes simulated across pool flushes
-	PoolDropped  int   // pairs dropped by flushes whose counterexample failed to split
-	Incomplete   bool  // a deadline, cancel, or MaxPairs stopped the sweep early
-	TimedOut     bool  // the early stop was a context deadline
+	Scheduled    int  // proof obligations claimed by workers
+	Proved       int  // pairs proven equivalent (merged)
+	Disproved    int  // pairs split by a counterexample
+	Unresolved   int  // pairs abandoned after every budget and engine
+	CexVectors   int  // counterexamples re-simulated
+	FinalCost    int  // Eq. (5) cost after sweeping
+	WorkerPanics int  // recovered worker panics (requeued or unresolved)
+	Requeued     int  // obligations returned to the queue after a panic or transient failure
+	Retried      int  // requeued obligations claimed again
+	PoolFlushes  int  // batched counterexample refinements performed
+	PoolLanes    int  // total vector lanes simulated across pool flushes
+	PoolDropped  int  // pairs dropped by flushes whose counterexample failed to split
+	Incomplete   bool // a deadline, cancel, or MaxPairs stopped the sweep early
+	TimedOut     bool // the early stop was a context deadline
 
 	// Parallel-run contention counters (always zero for sequential sweeps).
 	Steals           int // hint batches stolen between worker deques
 	BatchMerges      int // private cex batches merged into the partition
 	StripeContention int // union-find merges that contended on a stripe lock
 
-	// Verification-memory counters (always zero without Options.Cache).
-	CacheProbes     int // cache lookups (engine rung-0 probes + pre-pass)
-	CacheHits       int // lookups answered from the cache after revalidation
-	CacheMisses     int // lookups with no usable record
-	CacheRevalFails int // records rejected by revalidation and evicted
-	CacheMerged     int // pairs merged by the incremental pre-pass, never scheduled
-	CacheSkipped    int // out-of-TFO pairs left unscheduled by the pre-pass
+	// Incremental pre-pass counters (always zero without Options.Cache).
+	CacheMerged  int // pairs merged by the incremental pre-pass, never scheduled
+	CacheSkipped int // out-of-TFO pairs left unscheduled by the pre-pass
 }
 
 // add folds a worker's private Result shard into the run total.
 func (r *Result) add(o Result) {
+	r.Stats.Add(o.Stats)
 	r.Scheduled += o.Scheduled
-	r.SATCalls += o.SATCalls
-	r.SATTime += o.SATTime
 	r.Proved += o.Proved
 	r.Disproved += o.Disproved
 	r.Unresolved += o.Unresolved
 	r.CexVectors += o.CexVectors
-	r.Escalations += o.Escalations
-	r.BDDChecks += o.BDDChecks
-	r.BDDBlowups += o.BDDBlowups
-	r.SimChecks += o.SimChecks
-	r.WordChecks += o.WordChecks
-	r.WordFrontier += o.WordFrontier
-	r.Conflicts += o.Conflicts
-	r.Propagations += o.Propagations
 	r.WorkerPanics += o.WorkerPanics
 	r.Requeued += o.Requeued
 	r.Retried += o.Retried
@@ -301,10 +282,6 @@ func (r *Result) add(o Result) {
 	r.Steals += o.Steals
 	r.BatchMerges += o.BatchMerges
 	r.StripeContention += o.StripeContention
-	r.CacheProbes += o.CacheProbes
-	r.CacheHits += o.CacheHits
-	r.CacheMisses += o.CacheMisses
-	r.CacheRevalFails += o.CacheRevalFails
 	r.CacheMerged += o.CacheMerged
 	r.CacheSkipped += o.CacheSkipped
 	r.Incomplete = r.Incomplete || o.Incomplete
@@ -314,7 +291,7 @@ func (r *Result) add(o Result) {
 func (r Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "calls=%d time=%v proved=%d disproved=%d unresolved=%d",
-		r.SATCalls, r.SATTime, r.Proved, r.Disproved, r.Unresolved)
+		r.SATCalls, r.Time, r.Proved, r.Disproved, r.Unresolved)
 	if r.SimChecks > 0 {
 		fmt.Fprintf(&b, " simchecks=%d", r.SimChecks)
 	}
