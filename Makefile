@@ -107,13 +107,14 @@ fuzz:
 bench-full:
 	$(GO) test -bench=. -benchmem
 
-# Simulation-core micro-benchmarks: the arena kernel, the pair-cone kernel, incremental
-# resimulation, bucketed refinement, vector packing, the SimGen generator's
-# guided batch, the sweeping counterexample pool, and end-to-end service
-# throughput. BENCHCOUNT repetitions give the gate stable medians.
+# Simulation-core micro-benchmarks: the CDCL solver, the arena kernel, the
+# pair-cone kernel, incremental resimulation, bucketed refinement, vector
+# packing, the SimGen generator's guided batch, the sweeping counterexample
+# pool, and end-to-end service throughput. BENCHCOUNT repetitions give the
+# gate stable medians.
 BENCHCOUNT ?= 5
-BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkConeEval|BenchmarkRefine|BenchmarkPackVectors|BenchmarkGuidedBatch|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep
-BENCHDIRS ?= ./internal/sim ./internal/core ./internal/sweep ./internal/sweepd .
+BENCHES ?= BenchmarkSolve|BenchmarkSimulate|BenchmarkResimulate|BenchmarkConeEval|BenchmarkRefine|BenchmarkPackVectors|BenchmarkGuidedBatch|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep
+BENCHDIRS ?= ./internal/sat ./internal/sim ./internal/core ./internal/sweep ./internal/sweepd .
 .PHONY: bench
 bench:
 	$(GO) test -run 'xxx' -bench '$(BENCHES)' -benchmem -count $(BENCHCOUNT) \
@@ -180,7 +181,9 @@ datapath-test:
 	$(GO) run ./cmd/fuzz -n 60 -seed 1 -datapath -oracle differential
 
 # Regression gate: re-run the micro-benchmarks and fail when any median
-# time/op regressed >20% against the committed baseline.
+# time/op regressed >20% against the committed baseline, or when any work
+# counter (conflicts/op, implications/op, ...) that is constant in the
+# baseline changed.
 .PHONY: bench-gate
 bench-gate:
 	$(GO) test -run 'xxx' -bench '$(BENCHES)' -benchmem -count $(BENCHCOUNT) \

@@ -8,30 +8,39 @@ package cnf
 import (
 	"simgen/internal/network"
 	"simgen/internal/sat"
+	"simgen/internal/tt"
 )
 
 // Encoder incrementally encodes fanin cones of a network into a solver.
 type Encoder struct {
 	Solver *sat.Solver
 	net    *network.Network
-	varOf  map[network.NodeID]int
+	varOf  []int // solver variable per NodeID, -1 when none; grown on demand
+
+	stack []frame   // EncodeCone's DFS stack
+	lits  []sat.Lit // encodeNode's clause buffer (AddClause copies it)
+}
+
+// frame is a node on EncodeCone's DFS stack with its next fanin position.
+type frame struct {
+	id   network.NodeID
+	next int
 }
 
 // NewEncoder returns an encoder for net writing into solver.
 func NewEncoder(net *network.Network, solver *sat.Solver) *Encoder {
-	return &Encoder{
-		Solver: solver,
-		net:    net,
-		varOf:  make(map[network.NodeID]int),
-	}
+	return &Encoder{Solver: solver, net: net}
 }
 
 // Var returns the solver variable of a node, allocating it on first use.
 // The caller must ensure the node's defining clauses are emitted via
 // EncodeCone before solving.
 func (e *Encoder) Var(id network.NodeID) int {
-	if v, ok := e.varOf[id]; ok {
-		return v
+	if e.Encoded(id) {
+		return e.varOf[id]
+	}
+	for len(e.varOf) <= int(id) {
+		e.varOf = append(e.varOf, -1)
 	}
 	v := e.Solver.NewVar()
 	e.varOf[id] = v
@@ -45,19 +54,34 @@ func (e *Encoder) Lit(id network.NodeID, neg bool) sat.Lit {
 
 // Encoded reports whether the node's cone has already been encoded.
 func (e *Encoder) Encoded(id network.NodeID) bool {
-	_, ok := e.varOf[id]
-	return ok
+	return int(id) < len(e.varOf) && e.varOf[id] >= 0
 }
 
 // EncodeCone emits Tseitin clauses for every node in root's fanin cone that
-// has not been encoded yet. It returns false when the solver became
-// trivially unsatisfiable (cannot happen for well-formed networks).
+// has not been encoded yet, in DFS post-order (fanins first), so variables
+// are numbered as in network.FaninCone order. The walk stops at encoded
+// nodes, whose cones are encoded already. It needs no visited set: a node
+// is encoded as it leaves the stack, and the only unencoded nodes seen
+// twice would be ancestors on the stack, which a DAG never revisits. It
+// returns false when the solver became trivially unsatisfiable (cannot
+// happen for well-formed networks).
 func (e *Encoder) EncodeCone(root network.NodeID) bool {
-	for _, id := range e.net.FaninCone(root) {
-		if _, done := e.varOf[id]; done {
+	if e.Encoded(root) {
+		return true
+	}
+	e.stack = append(e.stack[:0], frame{id: root})
+	for len(e.stack) > 0 {
+		top := &e.stack[len(e.stack)-1]
+		if fanins := e.net.Node(top.id).Fanins; top.next < len(fanins) {
+			f := fanins[top.next]
+			top.next++
+			if !e.Encoded(f) {
+				e.stack = append(e.stack, frame{id: f})
+			}
 			continue
 		}
-		if !e.encodeNode(id) {
+		e.stack = e.stack[:len(e.stack)-1]
+		if !e.encodeNode(top.id) {
 			return false
 		}
 	}
@@ -74,31 +98,22 @@ func (e *Encoder) encodeNode(id network.NodeID) bool {
 		return e.Solver.AddClause(sat.MkLit(y, !nd.Func.IsConst1()))
 	}
 	on, off := e.net.Covers(id)
-	// cube -> y  becomes  (!cube | y)
-	for _, cube := range on {
-		lits := []sat.Lit{sat.MkLit(y, false)}
+	// cube -> y  becomes  (!cube | y);  cube -> !y  becomes  (!cube | !y)
+	return e.addCover(nd, sat.MkLit(y, false), on) && e.addCover(nd, sat.MkLit(y, true), off)
+}
+
+// addCover adds one clause (out | !cube) per cube of cover over nd's fanins.
+func (e *Encoder) addCover(nd *network.Node, out sat.Lit, cover tt.Cover) bool {
+	for _, cube := range cover {
+		e.lits = append(e.lits[:0], out)
 		for i, f := range nd.Fanins {
 			v, cared := cube.Has(i)
 			if !cared {
 				continue
 			}
-			lits = append(lits, sat.MkLit(e.Var(f), v))
+			e.lits = append(e.lits, sat.MkLit(e.Var(f), v))
 		}
-		if !e.Solver.AddClause(lits...) {
-			return false
-		}
-	}
-	// cube -> !y
-	for _, cube := range off {
-		lits := []sat.Lit{sat.MkLit(y, true)}
-		for i, f := range nd.Fanins {
-			v, cared := cube.Has(i)
-			if !cared {
-				continue
-			}
-			lits = append(lits, sat.MkLit(e.Var(f), v))
-		}
-		if !e.Solver.AddClause(lits...) {
+		if !e.Solver.AddClause(e.lits...) {
 			return false
 		}
 	}
@@ -152,8 +167,8 @@ func (e *Encoder) XorLit(a, b sat.Lit) sat.Lit {
 func (e *Encoder) Model() []bool {
 	assign := make([]bool, e.net.NumPIs())
 	for i, pi := range e.net.PIs() {
-		if v, ok := e.varOf[pi]; ok {
-			assign[i] = e.Solver.Value(v)
+		if e.Encoded(pi) {
+			assign[i] = e.Solver.Value(e.varOf[pi])
 		}
 	}
 	return assign

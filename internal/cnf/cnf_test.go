@@ -209,3 +209,34 @@ func TestIncrementalConeEncoding(t *testing.T) {
 		t.Fatal("Encoded() wrong")
 	}
 }
+
+func TestEncodeConeNumbering(t *testing.T) {
+	// EncodeCone numbers the newly encoded nodes of each cone in FaninCone
+	// (DFS post-order) order, skipping nodes encoded by earlier calls, so a
+	// sweep's solver variables do not depend on how the cone is walked.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		net := randomNetwork(rng, 2+rng.Intn(5), 5+rng.Intn(30))
+		e := NewEncoder(net, sat.New())
+		want := map[network.NodeID]int{}
+		for k := 0; k < 6; k++ {
+			root := network.NodeID(rng.Intn(net.NumNodes()))
+			for _, id := range net.FaninCone(root) {
+				if _, ok := want[id]; !ok {
+					want[id] = len(want)
+				}
+			}
+			if !e.EncodeCone(root) {
+				t.Fatalf("trial %d: encoding failed", trial)
+			}
+			if e.Solver.NumVars() != len(want) {
+				t.Fatalf("trial %d: %d variables, want %d", trial, e.Solver.NumVars(), len(want))
+			}
+		}
+		for id, v := range want {
+			if !e.Encoded(id) || e.Var(id) != v {
+				t.Fatalf("trial %d: node %d has variable %d, want %d", trial, id, e.Var(id), v)
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -68,12 +69,18 @@ const (
 	valueTrue       int8 = 1
 )
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-	lbd      int32
-}
+// Clause arena layout. Every clause lives in one []Lit arena as a header
+// followed by its literals, and a clause ref is the offset of its header:
+//
+//	word 0     size<<sizeShift | flagDeleted | flagLearnt
+//	word 1     LBD; during compaction, the clause's new offset (-1 if deleted)
+//	words 2–3  activity, a float64 split into its low and high 32 bits
+const (
+	hdrWords    = 4
+	sizeShift   = 2
+	flagLearnt  = 1
+	flagDeleted = 2
+)
 
 type watcher struct {
 	clauseRef int32
@@ -91,10 +98,12 @@ type Stats struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses []clause
-	watches [][]watcher // indexed by literal
+	arena       []Lit       // clause headers and literals; see hdrWords
+	nClauses    int         // live clauses in the arena (problem + learnt)
+	learntCount int         // live learnt clauses in the arena
+	watches     [][]watcher // indexed by literal
 
-	assigns  []int8
+	vals     []int8 // indexed by literal
 	level    []int32
 	reason   []int32 // clause ref or -1
 	trail    []Lit
@@ -106,12 +115,15 @@ type Solver struct {
 	order    *varHeap
 	phase    []bool
 
-	claInc      float64
-	maxLearnt   float64
-	learntCount int
+	claInc    float64
+	maxLearnt float64
 
-	seen      []bool
-	analyzeTo []Lit
+	seen       []bool
+	analyzeTo  []Lit
+	toClear    []Lit   // analyze: literals whose seen bit must be reset
+	levelStamp []int64 // analyze: per-level stamp for counting the LBD
+	stamp      int64
+	addTmp     []Lit // AddClause: sorted copy of the input literals
 
 	// ConflictBudget, when positive, bounds the number of conflicts per
 	// Solve call; exceeding it yields Unknown.
@@ -134,6 +146,9 @@ type Solver struct {
 
 	// onLearn, when set, observes every learnt clause (testing hook).
 	onLearn func([]Lit)
+	// onReduce, when set, runs after every learnt-clause reduction that
+	// deleted clauses (testing hook).
+	onReduce func()
 
 	unsat bool // set when the clause set is trivially contradictory
 }
@@ -149,12 +164,12 @@ func New() *Solver {
 }
 
 // NumVars returns the number of variables created.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NewVar creates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, valueUnassigned)
+	v := len(s.level)
+	s.vals = append(s.vals, valueUnassigned, valueUnassigned)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, -1)
 	s.activity = append(s.activity, 0)
@@ -165,15 +180,24 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-func (s *Solver) litValue(l Lit) int8 {
-	a := s.assigns[l.Var()]
-	if a == valueUnassigned {
-		return valueUnassigned
-	}
-	if l.IsNeg() {
-		return 1 - a
-	}
-	return a
+func (s *Solver) litValue(l Lit) int8 { return s.vals[l] }
+
+// clauseEnd returns the arena offset just past the clause at ref, which is
+// the ref of the next clause.
+func (s *Solver) clauseEnd(ref int32) int32 {
+	return ref + hdrWords + int32(s.arena[ref]>>sizeShift)
+}
+
+// clauseLits returns the literals of the clause at ref, aliasing the arena.
+func (s *Solver) clauseLits(ref int32) []Lit { return s.arena[ref+hdrWords : s.clauseEnd(ref)] }
+
+func (s *Solver) clauseActivity(ref int32) float64 {
+	return math.Float64frombits(uint64(uint32(s.arena[ref+2])) | uint64(uint32(s.arena[ref+3]))<<32)
+}
+
+func (s *Solver) setClauseActivity(ref int32, a float64) {
+	b := math.Float64bits(a)
+	s.arena[ref+2], s.arena[ref+3] = Lit(uint32(b)), Lit(uint32(b>>32))
 }
 
 // AddClause adds a clause at decision level 0. It returns false when the
@@ -185,11 +209,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.cancelUntil(0)
 	// Sort, dedup, drop false literals, detect tautologies and satisfied
 	// clauses.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	out := ls[:0]
+	s.addTmp = append(s.addTmp[:0], lits...)
+	slices.Sort(s.addTmp)
+	out := s.addTmp[:0]
 	var prev Lit = -1
-	for _, l := range ls {
+	for _, l := range s.addTmp {
 		if int(l.Var()) >= s.NumVars() {
 			panic(fmt.Sprintf("sat: literal %v references unknown variable", l))
 		}
@@ -220,19 +244,24 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	s.attachClause(clause{lits: append([]Lit(nil), out...)})
+	s.attachClause(out, false, 0)
 	return true
 }
 
-func (s *Solver) attachClause(c clause) int32 {
-	ref := int32(len(s.clauses))
-	s.clauses = append(s.clauses, c)
-	lits := s.clauses[ref].lits
-	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{ref, lits[1]})
-	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{ref, lits[0]})
-	if c.learnt {
+// attachClause copies a clause of at least two literals into the arena and
+// watches its first two literals. It returns the clause ref.
+func (s *Solver) attachClause(lits []Lit, learnt bool, lbd int32) int32 {
+	ref := int32(len(s.arena))
+	hdr := Lit(len(lits) << sizeShift)
+	if learnt {
+		hdr |= flagLearnt
 		s.learntCount++
 	}
+	s.arena = append(s.arena, hdr, Lit(lbd), 0, 0)
+	s.arena = append(s.arena, lits...)
+	s.nClauses++
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{ref, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{ref, lits[0]})
 	return ref
 }
 
@@ -240,11 +269,8 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
 	v := l.Var()
-	if l.IsNeg() {
-		s.assigns[v] = valueFalse
-	} else {
-		s.assigns[v] = valueTrue
-	}
+	s.vals[l] = valueTrue
+	s.vals[l^1] = valueFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -253,56 +279,58 @@ func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
 // propagate performs unit propagation; it returns the ref of a conflicting
 // clause or -1.
 func (s *Solver) propagate() int32 {
+	vals, arena := s.vals, s.arena
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
+		falseLit := p ^ 1
 
+		// Watchers that stay on p are compacted in place: ws[:j] is kept.
 		ws := s.watches[p]
-		kept := ws[:0]
+		j := 0
 		conflict := int32(-1)
-		for wi := 0; wi < len(ws); wi++ {
-			w := ws[wi]
-			if s.litValue(w.blocker) == valueTrue {
-				kept = append(kept, w)
+	next:
+		for i := 0; i < len(ws); i++ {
+			w := ws[i]
+			if vals[w.blocker] == valueTrue {
+				ws[j] = w
+				j++
 				continue
 			}
-			c := &s.clauses[w.clauseRef]
-			lits := c.lits
+			lo := w.clauseRef + hdrWords
+			lits := arena[lo : lo+int32(arena[w.clauseRef]>>sizeShift)]
 			// Ensure the false literal is lits[1].
-			if lits[0] == p.Not() {
+			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
-			if first != w.blocker && s.litValue(first) == valueTrue {
-				kept = append(kept, watcher{w.clauseRef, first})
+			if first != w.blocker && vals[first] == valueTrue {
+				ws[j] = watcher{w.clauseRef, first}
+				j++
 				continue
 			}
 			// Search a new watch.
-			found := false
 			for k := 2; k < len(lits); k++ {
-				if s.litValue(lits[k]) != valueFalse {
+				if vals[lits[k]] != valueFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{w.clauseRef, first})
-					found = true
-					break
+					s.watches[lits[1]^1] = append(s.watches[lits[1]^1], watcher{w.clauseRef, first})
+					continue next
 				}
 			}
-			if found {
-				continue
-			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{w.clauseRef, first})
-			if s.litValue(first) == valueFalse {
+			ws[j] = watcher{w.clauseRef, first}
+			j++
+			if vals[first] == valueFalse {
 				conflict = w.clauseRef
-				// Copy remaining watchers and stop.
-				kept = append(kept, ws[wi+1:]...)
+				// Keep the remaining watchers and stop.
+				j += copy(ws[j:], ws[i+1:])
 				s.qhead = len(s.trail)
 				break
 			}
 			s.uncheckedEnqueue(first, w.clauseRef)
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 		if conflict >= 0 {
 			return conflict
 		}
@@ -314,22 +342,20 @@ func (s *Solver) propagate() int32 {
 // clause (asserting literal first) and returns the backtrack level and the
 // clause LBD.
 func (s *Solver) analyze(confl int32) (int, int32) {
-	s.analyzeTo = s.analyzeTo[:0]
-	s.analyzeTo = append(s.analyzeTo, 0) // placeholder for the UIP
+	s.analyzeTo = append(s.analyzeTo[:0], 0) // placeholder for the UIP
 	pathC := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
 	for {
-		c := &s.clauses[confl]
-		if c.learnt {
+		if s.arena[confl]&flagLearnt != 0 {
 			s.bumpClause(confl)
 		}
-		start := 0
+		lits := s.clauseLits(confl)
 		if p != -1 {
-			start = 1
+			lits = lits[1:]
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range lits {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -357,12 +383,11 @@ func (s *Solver) analyze(confl int32) (int, int32) {
 	}
 	s.analyzeTo[0] = p.Not()
 
-	// Clause minimization: drop literals implied by the rest.
-	marked := make(map[int]bool, len(s.analyzeTo))
-	for _, l := range s.analyzeTo {
-		marked[l.Var()] = true
-	}
-	toClear := append([]Lit(nil), s.analyzeTo...)
+	// Clause minimization: drop literals implied by the rest. The seen bits
+	// mark exactly analyzeTo[1:] here. The UIP needs no mark: it sits at the
+	// conflict level, and the reason of a lower-level literal holds only
+	// literals of that level or below.
+	s.toClear = append(s.toClear[:0], s.analyzeTo...)
 	out := s.analyzeTo[:1]
 	for _, l := range s.analyzeTo[1:] {
 		r := s.reason[l.Var()]
@@ -371,11 +396,11 @@ func (s *Solver) analyze(confl int32) (int, int32) {
 			continue
 		}
 		redundant := true
-		for _, q := range s.clauses[r].lits {
+		for _, q := range s.clauseLits(r) {
 			if q.Var() == l.Var() {
 				continue
 			}
-			if !marked[q.Var()] && s.level[q.Var()] != 0 {
+			if !s.seen[q.Var()] && s.level[q.Var()] != 0 {
 				redundant = false
 				break
 			}
@@ -388,11 +413,11 @@ func (s *Solver) analyze(confl int32) (int, int32) {
 
 	// Clear seen flags, including literals dropped by minimization — stale
 	// seen bits would silently drop literals from future learnt clauses.
-	for _, l := range toClear {
+	for _, l := range s.toClear {
 		s.seen[l.Var()] = false
 	}
 
-	// Compute backtrack level and LBD.
+	// Compute backtrack level and LBD (the number of distinct levels).
 	btLevel := 0
 	if len(s.analyzeTo) > 1 {
 		maxI := 1
@@ -404,11 +429,18 @@ func (s *Solver) analyze(confl int32) (int, int32) {
 		s.analyzeTo[1], s.analyzeTo[maxI] = s.analyzeTo[maxI], s.analyzeTo[1]
 		btLevel = int(s.level[s.analyzeTo[1].Var()])
 	}
-	levels := map[int32]bool{}
-	for _, l := range s.analyzeTo {
-		levels[s.level[l.Var()]] = true
+	for len(s.levelStamp) <= s.decisionLevel() {
+		s.levelStamp = append(s.levelStamp, 0)
 	}
-	return btLevel, int32(len(levels))
+	s.stamp++
+	lbd := int32(0)
+	for _, l := range s.analyzeTo {
+		if lv := s.level[l.Var()]; s.levelStamp[lv] != s.stamp {
+			s.levelStamp[lv] = s.stamp
+			lbd++
+		}
+	}
+	return btLevel, lbd
 }
 
 func (s *Solver) bumpVar(v int) {
@@ -425,12 +457,12 @@ func (s *Solver) bumpVar(v int) {
 func (s *Solver) decayVar() { s.varInc /= 0.95 }
 
 func (s *Solver) bumpClause(ref int32) {
-	c := &s.clauses[ref]
-	c.activity += s.claInc
-	if c.activity > 1e20 {
-		for i := range s.clauses {
-			if s.clauses[i].learnt {
-				s.clauses[i].activity *= 1e-20
+	a := s.clauseActivity(ref) + s.claInc
+	s.setClauseActivity(ref, a)
+	if a > 1e20 {
+		for r := int32(0); r < int32(len(s.arena)); r = s.clauseEnd(r) {
+			if s.arena[r]&flagLearnt != 0 {
+				s.setClauseActivity(r, s.clauseActivity(r)*1e-20)
 			}
 		}
 		s.claInc *= 1e-20
@@ -447,7 +479,8 @@ func (s *Solver) cancelUntil(lvl int) {
 		l := s.trail[i]
 		v := l.Var()
 		s.phase[v] = !l.IsNeg()
-		s.assigns[v] = valueUnassigned
+		s.vals[l] = valueUnassigned
+		s.vals[l^1] = valueUnassigned
 		s.reason[v] = -1
 		s.order.pushIfAbsent(v)
 	}
@@ -462,7 +495,7 @@ func (s *Solver) pickBranchVar() int {
 		if !ok {
 			return -1
 		}
-		if s.assigns[v] == valueUnassigned {
+		if s.vals[MkLit(v, false)] == valueUnassigned {
 			return v
 		}
 	}
@@ -476,9 +509,9 @@ func (s *Solver) reduceDB() {
 		lbd int32
 	}
 	var learnts []entry
-	for i := range s.clauses {
-		if s.clauses[i].learnt && len(s.clauses[i].lits) > 2 {
-			learnts = append(learnts, entry{int32(i), s.clauses[i].activity, s.clauses[i].lbd})
+	for r := int32(0); r < int32(len(s.arena)); r = s.clauseEnd(r) {
+		if s.arena[r]&flagLearnt != 0 && s.arena[r]>>sizeShift > 2 {
+			learnts = append(learnts, entry{r, s.clauseActivity(r), int32(s.arena[r+1])})
 		}
 	}
 	sort.Slice(learnts, func(i, j int) bool {
@@ -487,56 +520,61 @@ func (s *Solver) reduceDB() {
 		}
 		return learnts[i].act < learnts[j].act
 	})
-	remove := map[int32]bool{}
+	removed := 0
 	for _, e := range learnts[:len(learnts)/2] {
 		if s.locked(e.ref) {
 			continue
 		}
-		remove[e.ref] = true
+		s.arena[e.ref] |= flagDeleted
+		removed++
 	}
-	if len(remove) == 0 {
+	if removed == 0 {
 		return
 	}
-	s.rebuildWithout(remove)
+	s.compact()
+	if s.onReduce != nil {
+		s.onReduce()
+	}
 }
 
 // locked reports whether a clause is the reason of a current assignment.
 func (s *Solver) locked(ref int32) bool {
-	lits := s.clauses[ref].lits
-	if len(lits) == 0 {
-		return false
-	}
-	v := lits[0].Var()
-	return s.reason[v] == ref && s.assigns[v] != valueUnassigned
+	first := s.arena[ref+hdrWords]
+	return s.reason[first.Var()] == ref && s.vals[first] != valueUnassigned
 }
 
-// rebuildWithout compacts the clause database, dropping the given refs and
-// remapping watches and reasons.
-func (s *Solver) rebuildWithout(remove map[int32]bool) {
-	remap := make([]int32, len(s.clauses))
-	var out []clause
-	for i := range s.clauses {
-		if remove[int32(i)] {
-			remap[i] = -1
-			if s.clauses[i].learnt {
+// compact copies the live clauses, in order, into a fresh arena. Each old
+// header's word 1 receives its clause's new offset (-1 when the clause is
+// deleted), and reasons and watches are remapped through those offsets.
+func (s *Solver) compact() {
+	old := s.arena
+	s.arena = make([]Lit, 0, len(old))
+	for r := 0; r < len(old); {
+		hdr := old[r]
+		n := hdrWords + int(hdr>>sizeShift)
+		if hdr&flagDeleted != 0 {
+			old[r+1] = -1
+			s.nClauses--
+			if hdr&flagLearnt != 0 {
 				s.learntCount--
 			}
-			continue
+		} else {
+			to := Lit(len(s.arena))
+			s.arena = append(s.arena, old[r:r+n]...)
+			old[r+1] = to
 		}
-		remap[i] = int32(len(out))
-		out = append(out, s.clauses[i])
+		r += n
 	}
-	s.clauses = out
-	for v := range s.reason {
-		if r := s.reason[v]; r >= 0 {
-			s.reason[v] = remap[r]
+	for v, r := range s.reason {
+		if r >= 0 {
+			s.reason[v] = int32(old[r+1])
 		}
 	}
 	for l := range s.watches {
 		ws := s.watches[l][:0]
 		for _, w := range s.watches[l] {
-			if nr := remap[w.clauseRef]; nr >= 0 {
-				ws = append(ws, watcher{nr, w.blocker})
+			if to := old[w.clauseRef+1]; to >= 0 {
+				ws = append(ws, watcher{int32(to), w.blocker})
 			}
 		}
 		s.watches[l] = ws
@@ -635,7 +673,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	conflictLimit := restartBase * luby(restartNum)
 	conflictsThisRestart := int64(0)
 	if s.maxLearnt == 0 {
-		s.maxLearnt = math.Max(1000, float64(len(s.clauses))/3)
+		s.maxLearnt = math.Max(1000, float64(s.nClauses)/3)
 	}
 
 	for {
@@ -657,14 +695,14 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 			btLevel, lbd := s.analyze(confl)
 			s.cancelUntil(btLevel)
-			learnt := append([]Lit(nil), s.analyzeTo...)
+			learnt := s.analyzeTo
 			if s.onLearn != nil {
 				s.onLearn(learnt)
 			}
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], -1)
 			} else {
-				ref := s.attachClause(clause{lits: learnt, learnt: true, lbd: lbd})
+				ref := s.attachClause(learnt, true, lbd)
 				s.Stats.Learnt++
 				s.uncheckedEnqueue(learnt[0], ref)
 			}
@@ -720,7 +758,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 }
 
 // Value returns the model value of variable v after Sat.
-func (s *Solver) Value(v int) bool { return s.assigns[v] == valueTrue }
+func (s *Solver) Value(v int) bool { return s.vals[MkLit(v, false)] == valueTrue }
 
 // NumClauses returns the number of stored clauses (problem + learnt).
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return s.nClauses }
